@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import gc
 import json
 import math
 import os
 import platform
-import resource
 import signal
 import statistics
 import subprocess
@@ -95,15 +96,25 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
-def peak_rss_mb(pid: int | None = None) -> float:
-    """Peak resident set size of ``pid`` (this process when ``None``)."""
-    if pid is None:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_mb(pid: int | str = "self") -> float:
+    """Peak resident set size (``VmHWM``) of ``pid``."""
     with open(f"/proc/{pid}/status", encoding="ascii") as handle:
         for line in handle:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise BenchError(f"no VmHWM for pid {pid}")
+
+
+def reset_peak_rss() -> None:
+    """Restart this process's peak RSS from its current RSS, so that
+    :func:`peak_rss_mb` covers only what runs afterwards.  Memory the
+    benchmark freed (inputs of earlier set-up reps, references) is first
+    handed back to the system, so it does not stay resident under the
+    new peak."""
+    gc.collect()
+    ctypes.CDLL(None).malloc_trim(0)
+    with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+        handle.write("5")  # 5: reset the peak RSS (VmHWM)
 
 
 # ----------------------------------------------------------------------

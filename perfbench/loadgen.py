@@ -5,12 +5,11 @@ connections (the benchmark uses ``nproc`` = 2)::
 
     python -m perfbench.loadgen SPEC.json OUT.json
 
-``SPEC.json`` names the server port, the query pool (``.npy``), how
-requests draw from it (``fresh``: pool rows in order, so no query
-repeats; ``zipf``: seeded Zipf(s) draws), the two phase lengths and the
-open-loop rate.  The closed loop draws from ``[0, split)`` and the open
-loop from ``split`` on, so the open loop's queries do not depend on how
-far the closed loop got.
+``SPEC.json`` names the server port, the query pool (``.npy``), the two
+phase lengths and the open-loop rate.  Requests take pool rows in order,
+so no query repeats.  The closed loop draws from ``[0, split)`` and the
+open loop from ``split`` on, so the open loop's queries do not depend on
+how far the closed loop got.
 
 - Closed loop: each connection sends its next request when the previous
   answer arrives.  It runs in two halves, before and after the open
@@ -48,40 +47,24 @@ SPIN_S = 0.0015
 
 
 class _Pool:
-    """Request bodies in draw order."""
+    """Requests for the pool's rows, in order, up to row ``stop``."""
 
     def __init__(self, spec: dict):
         self.vectors = np.load(spec["pool"])
         self.k = spec["k"]
-        if spec["draw"] == "fresh":
-            self.order = None
-            self.bodies = {}
-        else:
-            ranks = np.arange(1, len(self.vectors) + 1, dtype=float)
-            weights = ranks ** -spec["zipf_s"]
-            rng = np.random.default_rng(spec["seed"])
-            self.order = rng.choice(len(self.vectors), size=spec["draws"],
-                                    p=weights / weights.sum()).tolist()
-            self.bodies = {q: self._encode(q)
-                           for q in range(len(self.vectors))}
         self.position = 0
         self.stop = spec["split"]
-
-    def _encode(self, qid: int) -> bytes:
-        body = json.dumps({"vector": self.vectors[qid].tolist(),
-                           "k": self.k}).encode()
-        return (b"POST /query HTTP/1.1\r\nHost: bench\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body)) + body
 
     def next(self) -> tuple[int, bytes] | None:
         if self.position >= self.stop:
             return None
-        qid = (self.position if self.order is None
-               else self.order[self.position])
+        qid = self.position
         self.position += 1
-        request = self.bodies.get(qid)
-        return qid, request if request is not None else self._encode(qid)
+        body = json.dumps({"vector": self.vectors[qid].tolist(),
+                           "k": self.k}).encode()
+        return qid, (b"POST /query HTTP/1.1\r\nHost: bench\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body)) + body
 
 
 async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:

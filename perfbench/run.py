@@ -9,8 +9,6 @@ each exists and which layer metrics it should move):
   index, every query a fresh Gaussian vector (all cache misses); a closed
   loop on ``nproc`` keep-alive connections (``qps``), split around an
   open loop at a fixed 150 q/s (``p50_ms``).
-- ``serve_hot``: the same server; Zipf(1.1) draws from a 512-query pool
-  that was warmed into the result cache; the open loop runs at 1500 q/s.
 - ``offline_200k``: in process, no HTTP: build a 200k x 64, 4-shard
   layout (``add_batch`` -> ``save_index`` -> ``open_index(mmap=True)``),
   then ``query_many`` in batches of 32.

@@ -40,8 +40,6 @@ NAMES = (
     "index.query",              # outermost query_many / query_with_shortlists
     "index.shard",              # one shard's query_partial_many
     "index.brute",              # brute-force fallback, a = rows
-    "index.backends.save",
-    "index.backends.open",
     "index.store.encode",
     "core.embedder.assemble",
     "retrieval.lsh.hash",
